@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
             "  statements may span lines; a blank line executes\n"
             "  \\schema       deparse the schema as DDL (local)\n"
             "  \\ho           hierarchical ordering graph (DOT) (local)\n"
-            "  \\stats        entity counts + session execution counters\n"
+            "  \\stats        entity counts + executor/index counters\n"
             "  \\stress [N] [ITERS]  re-run the last script from N client\n"
             "                threads (default 4 x 100) (local)\n"
             "  \\metrics      Prometheus text ('json' for JSON): the\n"
@@ -206,7 +207,24 @@ int main(int argc, char** argv) {
           std::printf("  %-20s %llu\n", type.name.c_str(),
                       n.ok() ? (unsigned long long)*n : 0ull);
         }
-        std::printf("session:\n%s", conn.local_stats().ToString().c_str());
+        // Then the executor and index counters, process-wide (the same
+        // series \metrics renders; absent ones have not fired yet).
+        const std::map<std::string, uint64_t> counters =
+            mdm::obs::Registry::Global()->CounterValues();
+        std::printf("counters:\n");
+        for (const char* name :
+             {"mdm_quel_statements_total", "mdm_quel_rows_scanned_total",
+              "mdm_quel_conjuncts_total", "mdm_quel_parse_cache_hits_total",
+              "mdm_er_rank_hits_total", "mdm_er_rank_rebuilds_total",
+              "mdm_er_interval_hits_total", "mdm_er_interval_rebuilds_total",
+              "mdm_er_linear_scans_total", "mdm_index_lookups_total",
+              "mdm_index_inserts_total", "mdm_index_erases_total",
+              "mdm_index_rebuilds_total"}) {
+          auto it = counters.find(name);
+          std::printf("  %-34s %llu\n", name,
+                      it == counters.end() ? 0ull
+                                           : (unsigned long long)it->second);
+        }
       } else if (cmd == "\\stress") {
         if (last_script.empty()) {
           std::printf("nothing to stress: execute a QUEL script first\n");

@@ -94,12 +94,12 @@ class Failpoint {
 
 /// Named failpoints plus a cross-point power-cut trigger.
 ///
-/// Storage call sites (FileDiskManager, FileWalSink, the snapshot
-/// writer) evaluate named points on every physical I/O. With nothing
-/// armed, Eval is a single branch and does not count, so production use
-/// pays nothing. The power-cut mode counts *every* evaluation across
-/// all points and cuts power on the chosen one, which is what the
-/// crash simulator iterates over.
+/// Storage call sites (FileWalSink, the snapshot writer) evaluate
+/// named points on every physical I/O. With nothing armed, Eval is a
+/// single branch and does not count, so production use pays nothing.
+/// The power-cut mode counts *every* evaluation across all points and
+/// cuts power on the chosen one, which is what the crash simulator
+/// iterates over.
 ///
 /// Not thread-safe; the MDM serializes storage access per database.
 class FailpointRegistry {

@@ -15,7 +15,10 @@ using rel::ValueType;
 
 namespace {
 
-/// Process-wide mirrors of the per-database OrderingIndexStats fields.
+/// Ordering-index activity (§5.6 execution): lookups answered from a
+/// fresh rank/interval index, lazy rebuilds a lookup triggered after a
+/// structural mutation, and predicates evaluated without an index
+/// (ablation mode).
 struct ErCounters {
   obs::Counter* rank_hits;
   obs::Counter* rank_rebuilds;
@@ -43,7 +46,7 @@ struct ErCounters {
   }
 };
 
-/// Process-wide mirrors of the per-database AttrIndexStats fields.
+/// Secondary attribute index activity (§5.2 as physical design).
 struct IndexCounters {
   obs::Counter* lookups;
   obs::Counter* inserts;
@@ -158,17 +161,6 @@ int64_t AttrKeyFor(const Value& v) {
   return 0;
 }
 
-// EntityIds are allocated sequentially from 1, so they fit the 48-bit
-// (page, slot) Rid with room to spare.
-storage::Rid RidForEntity(EntityId id) {
-  return storage::Rid{static_cast<storage::PageId>(id >> 16),
-                      static_cast<uint16_t>(id & 0xFFFF)};
-}
-
-EntityId EntityForRid(const storage::Rid& rid) {
-  return (static_cast<EntityId>(rid.page_id) << 16) | rid.slot;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -234,11 +226,11 @@ Database::Database() { PublishSnapshot(); }
 // ---------------------------------------------------------------------
 // Moves.
 //
-// Hand-written because the latch, the snap mutex, the atomic ablation
-// flags and the atomic stats are not movable. Moving is NOT
-// latch-protected: callers (mdmsh \load, persist's Restore) quiesce all
-// sessions first. The destination gets fresh synchronization state and
-// a copy of the counters; the source is left empty and reusable.
+// Hand-written because the latch, the snap mutex and the atomic
+// ablation flags are not movable. Moving is NOT latch-protected:
+// callers (mdmsh \load, persist's Restore) quiesce all sessions first.
+// The destination gets fresh synchronization state; the source is left
+// empty and reusable.
 // Snapshots pinned from the source before the move stay readable (the
 // pin owns the Tables), but resolve against the source object only.
 // ---------------------------------------------------------------------
@@ -260,11 +252,9 @@ Database& Database::operator=(Database&& other) noexcept {
   ordering_index_enabled_.store(
       other.ordering_index_enabled_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  index_stats_.CopyFrom(other.index_stats_);
   attr_index_enabled_.store(
       other.attr_index_enabled_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  attr_stats_.CopyFrom(other.attr_stats_);
   bulk_index_load_.store(
       other.bulk_index_load_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -882,11 +872,9 @@ std::shared_ptr<const RankIndex> Database::RankIndexFor(
   const uint64_t v = ord.version;
   std::lock_guard<std::mutex> lock(cell->publish_mu);
   if (cell->ranks != nullptr && cell->ranks->built_version == v) {
-    index_stats_.rank_hits.fetch_add(1, std::memory_order_relaxed);
     ErCounters::Get().rank_hits->Inc();
     return cell->ranks;
   }
-  index_stats_.rank_rebuilds.fetch_add(1, std::memory_order_relaxed);
   ErCounters::Get().rank_rebuilds->Inc();
   auto fresh = std::make_shared<RankIndex>();
   fresh->built_version = v;
@@ -908,12 +896,10 @@ std::shared_ptr<const IntervalIndex> Database::IntervalIndexFor(
   const uint64_t v = ord.version;
   std::lock_guard<std::mutex> lock(cell->publish_mu);
   if (cell->intervals != nullptr && cell->intervals->built_version == v) {
-    index_stats_.interval_hits.fetch_add(1, std::memory_order_relaxed);
     ErCounters::Get().interval_hits->Inc();
     return cell->intervals;
   }
   obs::Span span("er.interval_rebuild");
-  index_stats_.interval_rebuilds.fetch_add(1, std::memory_order_relaxed);
   ErCounters::Get().interval_rebuilds->Inc();
   auto fresh = std::make_shared<IntervalIndex>();
   fresh->built_version = v;
@@ -1126,7 +1112,6 @@ Result<size_t> Database::PositionOf(OrderingHandle h, EntityId child) const {
       auto rit = ranks->rank_of.find(child);
       if (rit != ranks->rank_of.end()) return rit->second;
     } else {
-      index_stats_.linear_scans.fetch_add(1, std::memory_order_relaxed);
       ErCounters::Get().linear_scans->Inc();
       const std::vector<EntityId>& sibs = (*ord.children.Find(*parent))->ids;
       for (size_t i = 0; i < sibs.size(); ++i)
@@ -1173,7 +1158,6 @@ Result<bool> Database::Before(OrderingHandle h, EntityId a, EntityId b) const {
   // §5.6: entities with different parents are not comparable -> false.
   if (pa == nullptr || pb == nullptr || *pa != *pb) return false;
   if (!ordering_index_enabled()) {
-    index_stats_.linear_scans.fetch_add(1, std::memory_order_relaxed);
     ErCounters::Get().linear_scans->Inc();
     const std::vector<EntityId>& sibs = (*ord.children.Find(*pa))->ids;
     size_t ia = sibs.size(), ib = sibs.size();
@@ -1219,7 +1203,6 @@ Result<bool> Database::Under(OrderingHandle h, EntityId child,
   if (*direct == parent) return true;
   if (!ordering_index_enabled()) {
     // Ablation: multi-level containment by walking P-edges upward.
-    index_stats_.linear_scans.fetch_add(1, std::memory_order_relaxed);
     ErCounters::Get().linear_scans->Inc();
     return IsAncestor(ord, parent, *direct);
   }
@@ -1270,15 +1253,13 @@ Status Database::DefineIndex(AttrIndexDef def) {
 
   // Backfill from existing entities (nulls are never indexed). The tree
   // is not yet visible to any reader, so no probe lock is needed.
-  attr_stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
   IndexCounters::Get().rebuilds->Inc();
   auto by = live_.by_type->sets.find(AsciiUpper(tdef->name));
   if (by != live_.by_type->sets.end()) {
     by->second.ForEach([&](EntityId id, uint8_t) {
       const Value& v = (*live_.entities.Find(id))->attrs[ix->attr_slot];
       if (!v.is_null()) {
-        ix->tree.Insert(AttrKeyFor(v), RidForEntity(id));
-        attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+        ix->tree.Insert(AttrKeyFor(v), id);
         IndexCounters::Get().inserts->Inc();
       }
       return true;
@@ -1333,15 +1314,12 @@ std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
                                             const Value& key) const {
   std::vector<EntityId> out;
   if (key.is_null()) return out;  // see header: callers scan for nulls
-  attr_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
   IndexCounters::Get().lookups->Inc();
   const Tables& t = ReadTables();
   if (&t == &live_) {
     // Live read: the caller holds the db latch (shared or exclusive),
     // which already excludes tree maintenance (exclusive latch).
-    for (const storage::Rid& rid : index.tree.Find(AttrKeyFor(key)))
-      out.push_back(EntityForRid(rid));
-    return out;
+    return index.tree.Find(AttrKeyFor(key));
   }
   // Snapshot probe. The tree is shared mutable state, so synchronize
   // with writer maintenance on probe_mu and fence on the erase epoch
@@ -1356,8 +1334,7 @@ std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
     if (slot != nullptr &&
         index.erase_epoch.load(std::memory_order_acquire) ==
             slot->erase_epoch) {
-      for (const storage::Rid& rid : index.tree.Find(AttrKeyFor(key))) {
-        EntityId id = EntityForRid(rid);
+      for (EntityId id : index.tree.Find(AttrKeyFor(key))) {
         // Rows inserted after the snapshot are filtered here (and by the
         // retained equality conjunct for value changes).
         if (t.entities.Contains(id)) out.push_back(id);
@@ -1391,15 +1368,13 @@ void Database::AttrIndexOnSet(const EntityRecord& rec, uint32_t attr_slot,
       continue;
     std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
     if (!old_value.is_null() &&
-        ix.tree.Erase(AttrKeyFor(old_value), RidForEntity(rec.id))) {
+        ix.tree.Erase(AttrKeyFor(old_value), rec.id)) {
       ix.erase_epoch.fetch_add(1, std::memory_order_release);
       attr_erase_dirty_ = true;
-      attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
       IndexCounters::Get().erases->Inc();
     }
     if (!new_value.is_null()) {
-      ix.tree.Insert(AttrKeyFor(new_value), RidForEntity(rec.id));
-      attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+      ix.tree.Insert(AttrKeyFor(new_value), rec.id);
       IndexCounters::Get().inserts->Inc();
     }
   }
@@ -1415,10 +1390,9 @@ void Database::AttrIndexOnDelete(const EntityRecord& rec) {
     const Value& v = rec.attrs[ix.attr_slot];
     if (v.is_null()) continue;
     std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
-    if (ix.tree.Erase(AttrKeyFor(v), RidForEntity(rec.id))) {
+    if (ix.tree.Erase(AttrKeyFor(v), rec.id)) {
       ix.erase_epoch.fetch_add(1, std::memory_order_release);
       attr_erase_dirty_ = true;
-      attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
       IndexCounters::Get().erases->Inc();
     }
   }
@@ -1446,7 +1420,6 @@ Result<uint64_t> Database::EndBulkIndexLoad() {
     AttrIndex& ix = *slot.index;
     std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
     ix.tree = storage::BTree();
-    attr_stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
     IndexCounters::Get().rebuilds->Inc();
     const std::string type_name =
         AsciiUpper(schema.entity_types()[ix.type_index].name);
@@ -1455,8 +1428,7 @@ Result<uint64_t> Database::EndBulkIndexLoad() {
       by->second.ForEach([&](EntityId id, uint8_t) {
         const Value& v = (*live_.entities.Find(id))->attrs[ix.attr_slot];
         if (!v.is_null()) {
-          ix.tree.Insert(AttrKeyFor(v), RidForEntity(id));
-          attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+          ix.tree.Insert(AttrKeyFor(v), id);
           IndexCounters::Get().inserts->Inc();
         }
         return true;

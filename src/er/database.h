@@ -52,28 +52,6 @@ struct RelationshipInstance {
   uint64_t gen = 0;
 };
 
-/// Counters for the per-ordering structural indexes (§5.6 execution).
-/// `rank_hits`/`interval_hits` are index lookups answered from the
-/// current published snapshot; `*_rebuilds` count snapshot rebuilds
-/// triggered by a lookup after a structural mutation retired the
-/// previous version; `linear_scans` counts predicate evaluations that
-/// bypassed the indexes (ablation mode). Under concurrency the counts
-/// are exact (relaxed atomics) but attribution across sessions is
-/// best-effort.
-///
-/// This struct is the per-Database view. Process-wide totals (and the
-/// rebuild latency histogram) live on the obs registry as
-/// mdm_er_*_total / mdm_span_duration_ns{span="er.interval_rebuild"};
-/// prefer those for monitoring — this accessor remains for per-instance
-/// attribution in tests and benches (see docs/OBSERVABILITY.md).
-struct OrderingIndexStats {
-  uint64_t rank_hits = 0;
-  uint64_t rank_rebuilds = 0;
-  uint64_t interval_hits = 0;
-  uint64_t interval_rebuilds = 0;
-  uint64_t linear_scans = 0;
-};
-
 /// Definition of one secondary attribute index (§5.2's "orderings as
 /// physical optimization" generalized to attributes — the thematic
 /// index made physical): a B+tree over one attribute of one entity
@@ -83,17 +61,6 @@ struct AttrIndexDef {
   std::string name;
   std::string entity_type;
   std::string attr;
-};
-
-/// Per-database counters for the secondary attribute indexes.
-/// Process-wide totals live on the obs registry as
-/// mdm_index_{lookups,inserts,erases,rebuilds}_total; this accessor
-/// remains for per-instance attribution in tests and benches.
-struct AttrIndexStats {
-  uint64_t lookups = 0;   // IndexLookup probes answered from a B+tree
-  uint64_t inserts = 0;   // entries added (mutations + backfill)
-  uint64_t erases = 0;    // entries removed (updates, deletes)
-  uint64_t rebuilds = 0;  // full backfills (define, restore, replay)
 };
 
 /// One live secondary index: its definition, the resolved schema slots
@@ -427,12 +394,6 @@ class Database {
   bool ordering_index_enabled() const {
     return ordering_index_enabled_.load(std::memory_order_relaxed);
   }
-  /// Snapshot of the index counters (by value: the internals are
-  /// relaxed atomics bumped by concurrent readers under shared latch).
-  OrderingIndexStats ordering_index_stats() const {
-    return index_stats_.Snapshot();
-  }
-  void ResetOrderingIndexStats() { index_stats_.Reset(); }
 
   // ------------------------------------------------------------------
   // Secondary attribute indexes (§5.2 as physical design).
@@ -485,10 +446,6 @@ class Database {
   bool attr_index_enabled() const {
     return attr_index_enabled_.load(std::memory_order_relaxed);
   }
-  AttrIndexStats attr_index_stats() const {
-    return attr_stats_.Snapshot();
-  }
-  void ResetAttrIndexStats() { attr_stats_.Reset(); }
 
   /// Bulk index load (the corpus-loader fast path): between Begin and
   /// End, per-mutation index maintenance is suspended and FindAttrIndex
@@ -659,80 +616,6 @@ class Database {
   // publish, when any erase happened since the last one.
   void RefreshIndexEpochs();
 
-  // Relaxed-atomic twin of OrderingIndexStats: bumped by concurrent
-  // readers (index lookups run under the shared latch or a snapshot).
-  struct AtomicOrderingIndexStats {
-    std::atomic<uint64_t> rank_hits{0};
-    std::atomic<uint64_t> rank_rebuilds{0};
-    std::atomic<uint64_t> interval_hits{0};
-    std::atomic<uint64_t> interval_rebuilds{0};
-    std::atomic<uint64_t> linear_scans{0};
-
-    OrderingIndexStats Snapshot() const {
-      OrderingIndexStats s;
-      s.rank_hits = rank_hits.load(std::memory_order_relaxed);
-      s.rank_rebuilds = rank_rebuilds.load(std::memory_order_relaxed);
-      s.interval_hits = interval_hits.load(std::memory_order_relaxed);
-      s.interval_rebuilds = interval_rebuilds.load(std::memory_order_relaxed);
-      s.linear_scans = linear_scans.load(std::memory_order_relaxed);
-      return s;
-    }
-    void Reset() {
-      rank_hits.store(0, std::memory_order_relaxed);
-      rank_rebuilds.store(0, std::memory_order_relaxed);
-      interval_hits.store(0, std::memory_order_relaxed);
-      interval_rebuilds.store(0, std::memory_order_relaxed);
-      linear_scans.store(0, std::memory_order_relaxed);
-    }
-    void CopyFrom(const AtomicOrderingIndexStats& o) {
-      rank_hits.store(o.rank_hits.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      rank_rebuilds.store(o.rank_rebuilds.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      interval_hits.store(o.interval_hits.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      interval_rebuilds.store(
-          o.interval_rebuilds.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      linear_scans.store(o.linear_scans.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    }
-  };
-
-  // Relaxed-atomic twin of AttrIndexStats: lookups are bumped by
-  // concurrent readers under the shared latch or a snapshot.
-  struct AtomicAttrIndexStats {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> erases{0};
-    std::atomic<uint64_t> rebuilds{0};
-
-    AttrIndexStats Snapshot() const {
-      AttrIndexStats s;
-      s.lookups = lookups.load(std::memory_order_relaxed);
-      s.inserts = inserts.load(std::memory_order_relaxed);
-      s.erases = erases.load(std::memory_order_relaxed);
-      s.rebuilds = rebuilds.load(std::memory_order_relaxed);
-      return s;
-    }
-    void Reset() {
-      lookups.store(0, std::memory_order_relaxed);
-      inserts.store(0, std::memory_order_relaxed);
-      erases.store(0, std::memory_order_relaxed);
-      rebuilds.store(0, std::memory_order_relaxed);
-    }
-    void CopyFrom(const AtomicAttrIndexStats& o) {
-      lookups.store(o.lookups.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      inserts.store(o.inserts.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      erases.store(o.erases.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      rebuilds.store(o.rebuilds.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    }
-  };
-
   mutable std::shared_mutex mu_;  // see latch()
 
   // The live tables (mutated copy-on-write under the exclusive latch)
@@ -755,9 +638,7 @@ class Database {
   std::atomic<bool> writer_active_{false};
 
   std::atomic<bool> ordering_index_enabled_{true};
-  mutable AtomicOrderingIndexStats index_stats_;
   std::atomic<bool> attr_index_enabled_{true};
-  mutable AtomicAttrIndexStats attr_stats_;
   std::atomic<bool> bulk_index_load_{false};
   bool attr_erase_dirty_ = false;
 

@@ -84,14 +84,9 @@ class Connection {
   /// The in-process database, or nullptr on a remote connection.
   /// Local-only tooling (mdmsh \schema, \save, ...) gates on this.
   er::Database* local_db() const { return db_; }
-  /// Per-session execution counters (local connections only; remote
-  /// statistics live on the server's obs registry).
-  quel::ExecStats local_stats() const {
-    return session_ ? session_->stats() : quel::ExecStats{};
-  }
   /// The in-process QUEL session, or nullptr on a remote connection.
   /// For tooling/tests that need session-level knobs (ExecuteNaive
-  /// ablations, ClearParseCache, ResetStats) — not part of the public
+  /// ablations, ClearParseCache) — not part of the public
   /// client surface.
   quel::QuelSession* local_session() const { return session_.get(); }
 

@@ -471,7 +471,8 @@ bool IsIdempotentScript(const std::string& script) {
   // inside a string literal) disqualifies the script from transparent
   // retry. False negatives only cost a surfaced error.
   std::string lower = AsciiLower(script);
-  for (const char* kw : {"append", "replace", "delete", "define"}) {
+  for (const char* kw :
+       {"append", "replace", "delete", "define", "destroy"}) {
     size_t pos = 0;
     size_t len = std::strlen(kw);
     while ((pos = lower.find(kw, pos)) != std::string::npos) {

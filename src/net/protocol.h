@@ -170,7 +170,7 @@ Result<Frame> ReadFrame(int fd, size_t max_frame_bytes, bool* fatal);
 
 /// True when `script` contains only read statements (range / retrieve /
 /// explain): safe for the client to retry transparently after a lost
-/// connection. Any append/replace/delete/define makes it false.
+/// connection. Any append/replace/delete/define/destroy makes it false.
 bool IsIdempotentScript(const std::string& script);
 
 }  // namespace mdm::net

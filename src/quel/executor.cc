@@ -23,7 +23,8 @@ namespace {
 /// Scripts cached per session; cleared wholesale on overflow.
 constexpr size_t kParseCacheCapacity = 128;
 
-/// Process-wide mirrors of the per-session ExecStats counters.
+/// Executor activity: statements run, range-variable bindings
+/// enumerated, pushed-down conjunct tests, and parse-cache hits.
 struct QuelCounters {
   obs::Counter* statements;
   obs::Counter* rows_scanned;
@@ -259,15 +260,15 @@ class Evaluator {
 
 /// Enumerates bindings for the plan's variables as nested loops,
 /// evaluating each conjunct at its planned depth. Calls `emit` for every
-/// qualifying full binding. `stats` (optional) accumulates row/conjunct
-/// counters; `actual` (optional, `explain analyze`) records per-depth
+/// qualifying full binding, counting rows and conjunct tests on the obs
+/// registry. `actual` (optional, `explain analyze`) records per-depth
 /// call/pass counts and inclusive timings — when null the join pays no
 /// timing overhead.
 class NestedLoopJoin {
  public:
-  NestedLoopJoin(Database* db, const Plan* plan, ExecCounters* stats,
+  NestedLoopJoin(Database* db, const Plan* plan,
                  AnalyzeStats* actual = nullptr)
-      : db_(db), plan_(plan), stats_(stats), actual_(actual) {}
+      : db_(db), plan_(plan), actual_(actual) {}
 
   Status Run(const std::function<Status(
                  const std::map<std::string, Binding>&)>& emit) {
@@ -293,10 +294,7 @@ class NestedLoopJoin {
     Evaluator eval(db_, &bindings_, &plan_->order_handles);
     for (const PlannedConjunct& c : plan_->conjuncts) {
       if (c.depth != depth) continue;
-      if (stats_ != nullptr) {
-        stats_->conjuncts_evaluated.fetch_add(1, std::memory_order_relaxed);
-        QuelCounters::Get().conjuncts->Inc();
-      }
+      QuelCounters::Get().conjuncts->Inc();
       MDM_ASSIGN_OR_RETURN(bool pass, eval.Test(*c.qual));
       if (!pass) return Status::OK();
     }
@@ -308,10 +306,7 @@ class NestedLoopJoin {
     if (var.is_relationship) {
       MDM_RETURN_IF_ERROR(db_->ForEachRelationship(
           var.type, [&](const RelationshipInstance& ri) {
-            if (stats_ != nullptr) {
-              stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-              QuelCounters::Get().rows_scanned->Inc();
-            }
+            QuelCounters::Get().rows_scanned->Inc();
             Binding b;
             b.is_relationship = true;
             b.rel = &ri;
@@ -337,10 +332,7 @@ class NestedLoopJoin {
             candidates = db_->IndexLookup(*var.index, probe_key);
           }
           for (EntityId id : candidates) {
-            if (stats_ != nullptr) {
-              stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-              QuelCounters::Get().rows_scanned->Inc();
-            }
+            QuelCounters::Get().rows_scanned->Inc();
             Binding b;
             b.entity = id;
             bindings_[key] = b;
@@ -351,10 +343,7 @@ class NestedLoopJoin {
       }
       if (!probed) {
         MDM_RETURN_IF_ERROR(db_->ForEachEntity(var.type, [&](EntityId id) {
-          if (stats_ != nullptr) {
-            stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-            QuelCounters::Get().rows_scanned->Inc();
-          }
+          QuelCounters::Get().rows_scanned->Inc();
           Binding b;
           b.entity = id;
           bindings_[key] = b;
@@ -369,7 +358,6 @@ class NestedLoopJoin {
 
   Database* db_;
   const Plan* plan_;
-  ExecCounters* stats_;
   AnalyzeStats* actual_;
   std::map<std::string, Binding> bindings_;
   const std::function<Status(const std::map<std::string, Binding>&)>* emit_ =
@@ -448,7 +436,6 @@ Result<ResultSet> RunQueryImpl(Database* db,
                                const std::map<std::string, std::string>&
                                    session_ranges,
                                const Statement& stmt, bool pushdown,
-                               ExecCounters* stats,
                                StatementActuals* actuals_out);
 
 std::optional<size_t> ResultSet::ColumnIndex(std::string_view name) const {
@@ -466,20 +453,6 @@ const Value& ResultSet::At(size_t row, size_t col) const {
 const Value& ResultSet::RowRef::operator[](std::string_view col) const {
   std::optional<size_t> idx = rs_->ColumnIndex(col);
   return rs_->At(row_, idx.value_or(SIZE_MAX));
-}
-
-std::string ExecStats::ToString() const {
-  return StrFormat(
-      "statements: %llu\n"
-      "rows scanned: %llu\n"
-      "conjuncts evaluated: %llu\n"
-      "ordering index hits: %llu\n"
-      "ordering index misses: %llu\n"
-      "plan cache hits: %llu\n",
-      (unsigned long long)statements, (unsigned long long)rows_scanned,
-      (unsigned long long)conjuncts_evaluated,
-      (unsigned long long)index_hits, (unsigned long long)index_misses,
-      (unsigned long long)plan_cache_hits);
 }
 
 std::string ResultSet::ToString() const {
@@ -543,7 +516,6 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
     auto cached = parse_cache_.find(script);
     if (cached != parse_cache_.end()) {
       stmts = cached->second;
-      stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
       QuelCounters::Get().parse_cache_hits->Inc();
     } else {
       MDM_ASSIGN_OR_RETURN(std::vector<Statement> parsed, ParseQuel(script));
@@ -555,11 +527,9 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
     ranges = ranges_;
   }
 
-  const er::OrderingIndexStats before = db_->ordering_index_stats();
   ResultSet last;
   for (const Statement& stmt : *stmts) {
     obs::Span span("quel.statement", StatementDuration(), StatementSelf());
-    stats_.statements.fetch_add(1, std::memory_order_relaxed);
     QuelCounters::Get().statements->Inc();
     const bool mutates = stmt.kind == Statement::Kind::kAppend ||
                          stmt.kind == Statement::Kind::kReplace ||
@@ -603,18 +573,6 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
       }
     }
   }
-  // Attribute this script's ordering-index activity to the session
-  // (best-effort when other sessions run concurrently; see ExecStats).
-  const er::OrderingIndexStats after = db_->ordering_index_stats();
-  stats_.index_hits.fetch_add(
-      (after.rank_hits - before.rank_hits) +
-          (after.interval_hits - before.interval_hits),
-      std::memory_order_relaxed);
-  stats_.index_misses.fetch_add(
-      (after.rank_rebuilds - before.rank_rebuilds) +
-          (after.interval_rebuilds - before.interval_rebuilds) +
-          (after.linear_scans - before.linear_scans),
-      std::memory_order_relaxed);
   return last;
 }
 
@@ -655,7 +613,7 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
           if (stmt.qual != nullptr) query.qual = CloneQual(*stmt.qual);
           MDM_ASSIGN_OR_RETURN(
               ResultSet parent_rows,
-              RunQueryImpl(db_, *ranges, query, pushdown, &stats_, nullptr));
+              RunQueryImpl(db_, *ranges, query, pushdown, nullptr));
           std::set<EntityId> seen;
           std::vector<EntityId> parents;
           for (const auto& row : parent_rows.rows) {
@@ -717,17 +675,16 @@ Result<ResultSet> RunQueryImpl(Database* db,
                                const std::map<std::string, std::string>&
                                    session_ranges,
                                const Statement& stmt, bool pushdown,
-                               ExecCounters* stats,
                                StatementActuals* actuals_out);
 
 Result<ResultSet> QuelSession::RunQuery(
     const Statement& stmt, bool pushdown,
     const std::map<std::string, std::string>& ranges) {
   if (!collect_actuals())
-    return RunQueryImpl(db_, ranges, stmt, pushdown, &stats_, nullptr);
+    return RunQueryImpl(db_, ranges, stmt, pushdown, nullptr);
   StatementActuals actuals;
   Result<ResultSet> rs =
-      RunQueryImpl(db_, ranges, stmt, pushdown, &stats_, &actuals);
+      RunQueryImpl(db_, ranges, stmt, pushdown, &actuals);
   std::lock_guard<std::mutex> lock(mu_);
   last_actuals_ = std::move(actuals);
   return rs;
@@ -735,8 +692,7 @@ Result<ResultSet> QuelSession::RunQuery(
 
 Result<ResultSet> RunQueryImpl(
     Database* db, const std::map<std::string, std::string>& session_ranges,
-    const Statement& stmt, bool pushdown, ExecCounters* stats,
-    StatementActuals* actuals_out) {
+    const Statement& stmt, bool pushdown, StatementActuals* actuals_out) {
   const bool analyze = stmt.explain && stmt.analyze;
   std::chrono::steady_clock::time_point analyze_start;
   if (analyze) analyze_start = std::chrono::steady_clock::now();
@@ -790,7 +746,7 @@ Result<ResultSet> RunQueryImpl(
       replacements;
   std::set<EntityId> deletions;
 
-  NestedLoopJoin join(db, &plan, stats, collect ? &actual : nullptr);
+  NestedLoopJoin join(db, &plan, collect ? &actual : nullptr);
   MDM_RETURN_IF_ERROR(join.Run([&](const std::map<std::string, Binding>&
                                        bindings) -> Status {
     Evaluator eval(db, &bindings, &plan.order_handles);

@@ -87,59 +87,6 @@ struct ResultSet {
   std::string ToString() const;
 };
 
-/// Per-session execution counters, cumulative across Execute calls
-/// until ResetStats. Surfaced by mdmsh's \stats.
-///
-/// This struct is the per-session view. Process-wide totals are
-/// mirrored on the obs registry (mdm_quel_*_total, mdm_er_*_total and
-/// the quel.statement span histogram); prefer those for monitoring —
-/// this accessor remains for per-session attribution in tests and
-/// benches (see docs/OBSERVABILITY.md).
-struct ExecStats {
-  uint64_t statements = 0;           // statements executed
-  uint64_t rows_scanned = 0;         // range-variable bindings enumerated
-  uint64_t conjuncts_evaluated = 0;  // pushed-down conjunct tests
-  uint64_t index_hits = 0;           // ordering-index answers (rank/interval)
-  uint64_t index_misses = 0;         // index rebuilds + linear fallbacks
-  uint64_t plan_cache_hits = 0;      // scripts answered from the parse cache
-
-  std::string ToString() const;
-};
-
-/// Relaxed-atomic twin of ExecStats: the live counters a session (and
-/// the join inner loops) bump, safe against concurrent Execute calls on
-/// one shared session. Counts are exact; the index_hits/index_misses
-/// attribution is best-effort when several sessions share one database
-/// (it diffs the database-wide index stats around the script).
-struct ExecCounters {
-  std::atomic<uint64_t> statements{0};
-  std::atomic<uint64_t> rows_scanned{0};
-  std::atomic<uint64_t> conjuncts_evaluated{0};
-  std::atomic<uint64_t> index_hits{0};
-  std::atomic<uint64_t> index_misses{0};
-  std::atomic<uint64_t> plan_cache_hits{0};
-
-  ExecStats Snapshot() const {
-    ExecStats s;
-    s.statements = statements.load(std::memory_order_relaxed);
-    s.rows_scanned = rows_scanned.load(std::memory_order_relaxed);
-    s.conjuncts_evaluated =
-        conjuncts_evaluated.load(std::memory_order_relaxed);
-    s.index_hits = index_hits.load(std::memory_order_relaxed);
-    s.index_misses = index_misses.load(std::memory_order_relaxed);
-    s.plan_cache_hits = plan_cache_hits.load(std::memory_order_relaxed);
-    return s;
-  }
-  void Reset() {
-    statements.store(0, std::memory_order_relaxed);
-    rows_scanned.store(0, std::memory_order_relaxed);
-    conjuncts_evaluated.store(0, std::memory_order_relaxed);
-    index_hits.store(0, std::memory_order_relaxed);
-    index_misses.store(0, std::memory_order_relaxed);
-    plan_cache_hits.store(0, std::memory_order_relaxed);
-  }
-};
-
 /// Per-loop actual row counts of the last executed query statement,
 /// outermost loop first — the same numbers `explain analyze` renders,
 /// collected without the explain wrapper when the session's
@@ -179,7 +126,7 @@ struct StatementActuals {
 /// through `mdm::Connection` (DESIGN.md §"Public API"), which owns one
 /// session per local connection and dispatches DDL scripts too. Direct
 /// construction is for the Connection/server plumbing, tests, and
-/// benches that need session-level knobs (ExecuteNaive, ResetStats,
+/// benches that need session-level knobs (ExecuteNaive,
 /// ClearParseCache).
 ///
 /// Execution goes through a small planner (quel/planner.h): range
@@ -195,10 +142,10 @@ struct StatementActuals {
 /// from many sessions sharing one database (the normal multi-client
 /// shape, one session per client thread) or from threads sharing one
 /// session (the parse cache and range declarations are mutex-guarded;
-/// the counters are atomics). Each statement runs under the database
-/// latch: shared for range/retrieve, exclusive for append/replace/
-/// delete, so retrieves see snapshot-consistent states and mutating
-/// statements are serialized. Consequently, do NOT call Execute while
+/// the mdm_quel_* counters live on the obs registry). Each statement
+/// runs under the database latch: shared for range/retrieve, exclusive
+/// for append/replace/delete, so retrieves see snapshot-consistent
+/// states and mutating statements are serialized. Consequently, do NOT call Execute while
 /// holding an er::ReadGuard/WriteGuard on the same database — the
 /// latch is not recursive.
 class QuelSession {
@@ -240,17 +187,9 @@ class QuelSession {
     return ranges_;
   }
 
-  /// Snapshot of the cumulative execution counters (see ExecStats).
-  ExecStats stats() const { return stats_.Snapshot(); }
-
-  /// Zeroes the counters only — the parse cache is left intact, so
-  /// re-running a cached script after ResetStats still counts a
-  /// plan_cache_hit. Use ClearParseCache to drop cached scripts.
-  void ResetStats() { stats_.Reset(); }
-
-  /// Drops every cached parsed script without touching the counters;
-  /// the next Execute of any script re-parses it (and does not count a
-  /// plan_cache_hit).
+  /// Drops every cached parsed script; the next Execute of any script
+  /// re-parses it (and does not count in
+  /// mdm_quel_parse_cache_hits_total).
   void ClearParseCache() {
     std::lock_guard<std::mutex> lock(mu_);
     parse_cache_.clear();
@@ -301,7 +240,6 @@ class QuelSession {
   // statement.
   mutable std::mutex mu_;
   std::map<std::string, std::string> ranges_;
-  ExecCounters stats_;
   std::atomic<bool> collect_actuals_{false};
   StatementActuals last_actuals_;
   // Statement cache keyed by script text. Statements are immutable once

@@ -17,6 +17,7 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "counter_delta.h"
 #include "ddl/parser.h"
 #include "er/database.h"
 #include "er/persist.h"
@@ -33,6 +34,9 @@ using er::AttrIndex;
 using er::AttrIndexDef;
 using er::EntityId;
 using rel::Value;
+using testutil::CounterDelta;
+using testutil::CounterSnapshot;
+using testutil::SnapCounters;
 
 /// Every index must agree exactly with a full scan: each entity whose
 /// attribute compares equal to its own stored value is reachable
@@ -133,11 +137,12 @@ TEST_F(IndexDdlTest, BackfillIndexesExistingEntities) {
     ASSERT_TRUE(id.ok());
     ASSERT_TRUE(db_.SetAttribute(*id, "name", Value::Int(i % 4)).ok());
   }
+  const CounterSnapshot before = SnapCounters();
   ASSERT_TRUE(db_.DefineIndex({"note_name", "NOTE", "name"}).ok());
   const AttrIndex* ix = db_.FindAttrIndexByName("note_name");
   ASSERT_NE(ix, nullptr);
   EXPECT_EQ(ix->tree.size(), 10u);
-  EXPECT_GE(db_.attr_index_stats().rebuilds, 1u);
+  EXPECT_GE(CounterDelta(before, "mdm_index_rebuilds_total"), 1u);
   ValidateIndexConsistency(db_);
 }
 
@@ -195,11 +200,12 @@ TEST_F(IndexPlanTest, ExplainGoldenIndexSelection) {
             "    filter: n.name = 30\n"
             "  emit: n.name\n");
   // The probed query answers correctly and touches one row.
+  const CounterSnapshot before = SnapCounters();
   auto exec = conn.Execute(
       "range of n is NOTE\nretrieve (n.name) where n.name = 30");
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(Ints(*exec), (std::vector<int64_t>{30}));
-  EXPECT_EQ(conn.local_stats().rows_scanned, 1u);
+  EXPECT_EQ(CounterDelta(before, "mdm_quel_rows_scanned_total"), 1u);
 }
 
 TEST_F(IndexPlanTest, ExplainWrongKeyFallsBackToScan) {
@@ -217,11 +223,13 @@ TEST_F(IndexPlanTest, ExplainWrongKeyFallsBackToScan) {
             "  loop 1: n is NOTE (~5 rows)\n"
             "    filter: n.name = 30\n"
             "  emit: n.name\n");
+  const CounterSnapshot before = SnapCounters();
   auto exec = conn.Execute(
       "range of n is NOTE\nretrieve (n.name) where n.name = 30");
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(Ints(*exec), (std::vector<int64_t>{30}));
-  EXPECT_EQ(conn.local_stats().rows_scanned, 5u);  // full scan
+  // A full scan.
+  EXPECT_EQ(CounterDelta(before, "mdm_quel_rows_scanned_total"), 5u);
 }
 
 TEST_F(IndexPlanTest, IndexNestedLoopJoinViaIs) {
@@ -245,11 +253,12 @@ TEST_F(IndexPlanTest, IndexNestedLoopJoinViaIs) {
             "  loop 2: n is NOTE (~5 rows) via index note_chord(chord)\n"
             "    filter: n.chord is c\n"
             "  emit: n.name\n");
+  const CounterSnapshot before = SnapCounters();
   auto rs = conn.Execute(query);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(Ints(*rs), (std::vector<int64_t>{40, 50}));
   // 2 chords + 2 probed notes, instead of 2 + 2*5 scanned.
-  EXPECT_EQ(conn.local_stats().rows_scanned, 4u);
+  EXPECT_EQ(CounterDelta(before, "mdm_quel_rows_scanned_total"), 4u);
 }
 
 TEST_F(IndexPlanTest, AblationDisablesProbesButKeepsAnswers) {
@@ -310,6 +319,7 @@ TEST_F(IndexPlanTest, MaintenanceAcrossUpdateAndDelete) {
   const AttrIndex* ix = db_.FindAttrIndexByName("note_name");
   ASSERT_NE(ix, nullptr);
   Connection conn = Connection::Local(&db_);
+  const CounterSnapshot before = SnapCounters();
   ASSERT_TRUE(conn.Execute("range of n is NOTE\n"
                            "replace n (name = 21) where n.name = 20")
                   .ok());
@@ -319,9 +329,8 @@ TEST_F(IndexPlanTest, MaintenanceAcrossUpdateAndDelete) {
       conn.Execute("range of n is NOTE\ndelete n where n.name = 21").ok());
   EXPECT_TRUE(db_.IndexLookup(*ix, Value::Int(21)).empty());
   EXPECT_EQ(ix->tree.size(), 4u);
-  er::AttrIndexStats stats = db_.attr_index_stats();
-  EXPECT_GT(stats.inserts, 0u);
-  EXPECT_GT(stats.erases, 0u);
+  EXPECT_GT(CounterDelta(before, "mdm_index_inserts_total"), 0u);
+  EXPECT_GT(CounterDelta(before, "mdm_index_erases_total"), 0u);
   ValidateIndexConsistency(db_);
 }
 
@@ -368,6 +377,15 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
   }
   plain.EnableAttrIndex(false);
 
+  // Both databases share the process-wide registry, so the ablated
+  // one's counter activity is summed over its own calls only; the
+  // indexed one's is the whole run minus that.
+  const CounterSnapshot start = SnapCounters();
+  CounterSnapshot ablated;
+  auto on_plain = [&](auto&& call) {
+    return testutil::CountInto(&ablated, call);
+  };
+
   // Parallel id vectors: slot i is the same logical entity in both.
   std::vector<std::pair<EntityId, EntityId>> chords;
   std::vector<std::pair<EntityId, EntityId>> notes;
@@ -375,7 +393,7 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
   auto create = [&](const std::string& type,
                     std::vector<std::pair<EntityId, EntityId>>* out) {
     auto a = indexed.CreateEntity(type);
-    auto b = plain.CreateEntity(type);
+    auto b = on_plain([&] { return plain.CreateEntity(type); });
     ASSERT_TRUE(a.ok() && b.ok());
     out->emplace_back(*a, *b);
   };
@@ -383,8 +401,10 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
         indexed.SetAttribute(chords[i].first, "name", Value::Int(i)).ok());
-    ASSERT_TRUE(
-        plain.SetAttribute(chords[i].second, "name", Value::Int(i)).ok());
+    ASSERT_TRUE(on_plain([&] {
+                  return plain.SetAttribute(chords[i].second, "name",
+                                            Value::Int(i));
+                }).ok());
   }
 
   Connection c_indexed = Connection::Local(&indexed);
@@ -404,19 +424,23 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
                       ? Value()
                       : Value::Int(static_cast<int64_t>(rng.Uniform(6)));
         ASSERT_EQ(indexed.SetAttribute(na, "name", v).ok(),
-                  plain.SetAttribute(nb, "name", v).ok());
+                  on_plain([&] { return plain.SetAttribute(nb, "name", v); })
+                      .ok());
       } else {
         size_t c = rng.Uniform(chords.size());
         ASSERT_EQ(
             indexed.SetAttribute(na, "chord", Value::Ref(chords[c].first))
                 .ok(),
-            plain.SetAttribute(nb, "chord", Value::Ref(chords[c].second))
-                .ok());
+            on_plain([&] {
+              return plain.SetAttribute(nb, "chord",
+                                        Value::Ref(chords[c].second));
+            }).ok());
       }
     } else if (dice < 0.58 && notes.size() > 2) {
       size_t slot = rng.Uniform(notes.size());
       Status a = indexed.DeleteEntity(notes[slot].first);
-      Status b = plain.DeleteEntity(notes[slot].second);
+      Status b =
+          on_plain([&] { return plain.DeleteEntity(notes[slot].second); });
       ASSERT_EQ(a.code(), b.code());
       notes.erase(notes.begin() + slot);
     } else {
@@ -433,7 +457,7 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
             std::to_string(rng.Uniform(3));
       }
       auto rs_a = c_indexed.Execute(query);
-      auto rs_b = c_plain.Execute(query);
+      auto rs_b = on_plain([&] { return c_plain.Execute(query); });
       ASSERT_EQ(rs_a.ok(), rs_b.ok())
           << rs_a.status().ToString() << " vs " << rs_b.status().ToString();
       if (rs_a.ok()) {
@@ -443,8 +467,10 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
   }
   // The ablated database never answered through an index; the indexed
   // one did. Both trees stayed consistent (maintenance is always on).
-  EXPECT_EQ(plain.attr_index_stats().lookups, 0u);
-  EXPECT_GT(indexed.attr_index_stats().lookups, 0u);
+  EXPECT_EQ(ablated["mdm_index_lookups_total"], 0u);
+  EXPECT_GT(CounterDelta(start, "mdm_index_lookups_total") -
+                ablated["mdm_index_lookups_total"],
+            0u);
   ValidateIndexConsistency(indexed);
   ValidateIndexConsistency(plain);
 }
@@ -530,12 +556,13 @@ TEST(IndexDurabilityTest, SnapshotRoundTripPreservesIndexes) {
   std::string path = IndexDbPath("snap");
   RemoveDbFiles(path);
   ASSERT_TRUE(er::SaveSnapshot(db, path).ok());
+  const CounterSnapshot before = SnapCounters();
   auto loaded = er::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->AttrIndexDefs().size(), 1u);
   EXPECT_EQ(loaded->AttrIndexDefs()[0].attr, "name");
   // Trees are rebuilt on restore, not serialized.
-  EXPECT_GE(loaded->attr_index_stats().rebuilds, 1u);
+  EXPECT_GE(CounterDelta(before, "mdm_index_rebuilds_total"), 1u);
   ValidateIndexConsistency(*loaded);
   RemoveDbFiles(path);
 }

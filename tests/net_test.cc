@@ -399,6 +399,12 @@ TEST(ProtocolTest, IsIdempotentScript) {
   EXPECT_FALSE(net::IsIdempotentScript("delete n where n.name = 7"));
   EXPECT_FALSE(net::IsIdempotentScript(
       "define entity NOTE (name = integer)"));
+  // A replayed drop whose first attempt landed would answer NOT_FOUND
+  // for a drop that succeeded.
+  EXPECT_FALSE(net::IsIdempotentScript("destroy index by_name"));
+  EXPECT_FALSE(net::IsIdempotentScript("DESTROY INDEX by_name"));
+  EXPECT_FALSE(net::IsIdempotentScript(
+      "range of n is NOTE\nretrieve (n.name)\ndestroy index note_name"));
   // Substrings of keywords do not disqualify.
   EXPECT_TRUE(net::IsIdempotentScript(
       "retrieve (n.name) where n.definedness = 1"));

@@ -1,5 +1,5 @@
-// Planner, ordering-handle API, explain (+ analyze), and ExecStats
-// coverage for the §5.6 execution layer.
+// Planner, ordering-handle API, explain (+ analyze), and executor
+// counter coverage for the §5.6 execution layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "counter_delta.h"
 #include "ddl/parser.h"
 #include "er/database.h"
 #include "net/connection.h"
@@ -21,6 +22,9 @@ namespace {
 using er::EntityId;
 using er::OrderingHandle;
 using rel::Value;
+using testutil::CounterDelta;
+using testutil::CounterSnapshot;
+using testutil::SnapCounters;
 
 /// Chords with named notes plus a recursive section tree:
 ///   section 1 > section 2 > notes 100, 200 (sec_tree)
@@ -316,13 +320,14 @@ TEST_F(QuelPlannerTest, ExplainUnderShowsIntervalIndexAndAblation) {
 
 TEST_F(QuelPlannerTest, ExplainNeverExecutes) {
   Connection conn = Connection::Local(&db_);
+  const CounterSnapshot before = SnapCounters();
   auto rs = conn.Execute(
       "range of n is NOTE\nexplain retrieve (n.name)");
   ASSERT_TRUE(rs.ok());
   EXPECT_TRUE(rs->rows.empty());
   EXPECT_FALSE(rs->explain.empty());
   // A plan-only run enumerates no bindings.
-  EXPECT_EQ(conn.local_stats().rows_scanned, 0u);
+  EXPECT_EQ(CounterDelta(before, "mdm_quel_rows_scanned_total"), 0u);
   // And `explain` is retrieve-only.
   EXPECT_EQ(conn.Execute("explain delete n").status().code(),
             StatusCode::kParseError);
@@ -375,12 +380,13 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeGolden) {
 
 TEST_F(QuelPlannerTest, ExplainAnalyzeExecutesForReal) {
   Connection conn = Connection::Local(&db_);
+  const CounterSnapshot before = SnapCounters();
   auto rs = conn.Execute(
       "range of n is NOTE\nexplain analyze retrieve (n.name)");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_FALSE(rs->explain.empty());
   // Unlike plain explain, analyze enumerates every binding.
-  EXPECT_EQ(conn.local_stats().rows_scanned, 7u);
+  EXPECT_EQ(CounterDelta(before, "mdm_quel_rows_scanned_total"), 7u);
 }
 
 TEST_F(QuelPlannerTest, ExplainAnalyzeTimesSumToStatement) {
@@ -457,68 +463,68 @@ TEST_F(QuelPlannerTest, ResultSetAccessors) {
 }
 
 // ----------------------------------------------------------------------
-// ExecStats and the statement cache.
+// Executor counters (mdm_quel_* / mdm_er_* registry deltas) and the
+// statement cache.
 // ----------------------------------------------------------------------
 
-TEST_F(QuelPlannerTest, ExecStatsAndParseCache) {
+TEST_F(QuelPlannerTest, RegistryCountersAndParseCache) {
   Connection conn = Connection::Local(&db_);
   const std::string query =
       "range of n1, n2 is NOTE\n"
       "retrieve (n1.name)"
       " where n1 before n2 in note_in_chord and n2.name = 30";
+  const CounterSnapshot start = SnapCounters();
   auto first = conn.Execute(query);
   ASSERT_TRUE(first.ok());
-  const ExecStats after_first = conn.local_stats();
-  EXPECT_EQ(after_first.statements, 2u);  // range + retrieve
-  EXPECT_EQ(after_first.plan_cache_hits, 0u);
+  const CounterSnapshot after_first = SnapCounters();
+  auto first_delta = [&](const std::string& name) {
+    return CounterDelta(start, after_first, name);
+  };
+  EXPECT_EQ(first_delta("mdm_quel_statements_total"), 2u);  // range+retrieve
+  EXPECT_EQ(first_delta("mdm_quel_parse_cache_hits_total"), 0u);
   // n2 loops over all 7 notes; n1 only under the surviving binding.
-  EXPECT_EQ(after_first.rows_scanned, 14u);
-  EXPECT_GT(after_first.conjuncts_evaluated, 0u);
+  EXPECT_EQ(first_delta("mdm_quel_rows_scanned_total"), 14u);
+  EXPECT_GT(first_delta("mdm_quel_conjuncts_total"), 0u);
 
+  // The re-run is answered from the parse cache: it still counts its
+  // statements, and one hit.
   auto second = conn.Execute(query);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(Ints(*second), Ints(*first));
-  const ExecStats& after_second = conn.local_stats();
-  EXPECT_EQ(after_second.statements, 4u);
-  EXPECT_EQ(after_second.plan_cache_hits, 1u);
+  const CounterSnapshot after_second = SnapCounters();
+  auto second_delta = [&](const std::string& name) {
+    return CounterDelta(after_first, after_second, name);
+  };
+  EXPECT_EQ(second_delta("mdm_quel_statements_total"), 2u);
+  EXPECT_EQ(second_delta("mdm_quel_parse_cache_hits_total"), 1u);
+  EXPECT_EQ(second_delta("mdm_quel_rows_scanned_total"), 14u);
   // The rank index was built during the first run; the re-run only hits.
-  EXPECT_GT(after_second.index_hits, after_first.index_hits);
-
-  conn.local_session()->ResetStats();
-  EXPECT_EQ(conn.local_stats().statements, 0u);
-  EXPECT_EQ(conn.local_stats().ToString(),
-            "statements: 0\nrows scanned: 0\nconjuncts evaluated: 0\n"
-            "ordering index hits: 0\nordering index misses: 0\n"
-            "plan cache hits: 0\n");
-}
-
-TEST_F(QuelPlannerTest, ResetStatsKeepsParseCache) {
-  Connection conn = Connection::Local(&db_);
-  const std::string query = "range of n is NOTE\nretrieve (n.name)";
-  ASSERT_TRUE(conn.Execute(query).ok());
-  conn.local_session()->ResetStats();
-  EXPECT_EQ(conn.local_stats().plan_cache_hits, 0u);
-  // The cache survived the reset: the re-run skips the parser and the
-  // hit counter starts counting again from zero.
-  ASSERT_TRUE(conn.Execute(query).ok());
-  EXPECT_EQ(conn.local_stats().plan_cache_hits, 1u);
-  EXPECT_EQ(conn.local_stats().statements, 2u);
+  EXPECT_GT(second_delta("mdm_er_rank_hits_total") +
+                second_delta("mdm_er_interval_hits_total"),
+            0u);
+  EXPECT_EQ(second_delta("mdm_er_rank_rebuilds_total") +
+                second_delta("mdm_er_interval_rebuilds_total"),
+            0u);
 }
 
 TEST_F(QuelPlannerTest, ClearParseCacheForcesReparseWithoutTouchingStats) {
   Connection conn = Connection::Local(&db_);
   const std::string query = "range of n is NOTE\nretrieve (n.name)";
+  const CounterSnapshot start = SnapCounters();
+  auto hits = [&] {
+    return CounterDelta(start, "mdm_quel_parse_cache_hits_total");
+  };
   ASSERT_TRUE(conn.Execute(query).ok());
   ASSERT_TRUE(conn.Execute(query).ok());
-  EXPECT_EQ(conn.local_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(hits(), 1u);
   conn.local_session()->ClearParseCache();
   // Counters are untouched; the next run re-parses, so no new hit.
-  EXPECT_EQ(conn.local_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(hits(), 1u);
   ASSERT_TRUE(conn.Execute(query).ok());
-  EXPECT_EQ(conn.local_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(hits(), 1u);
   // And the re-parsed script is cached again.
   ASSERT_TRUE(conn.Execute(query).ok());
-  EXPECT_EQ(conn.local_stats().plan_cache_hits, 2u);
+  EXPECT_EQ(hits(), 2u);
 }
 
 TEST_F(QuelPlannerTest, NaiveAndPlannedAgreeOnRecursiveUnder) {
@@ -564,6 +570,15 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
   ASSERT_TRUE(indexed.ordering_index_enabled());
   ASSERT_FALSE(plain.ordering_index_enabled());
 
+  // Both databases share the process-wide registry, so the ablated
+  // one's counter activity is summed over its own calls only; the
+  // indexed one's is the whole run minus that.
+  const CounterSnapshot start = SnapCounters();
+  CounterSnapshot ablated;
+  auto on_plain = [&](auto&& call) {
+    return testutil::CountInto(&ablated, call);
+  };
+
   // Parallel id vectors: slot i refers to the same logical entity in
   // both databases (ids may differ; slots keep them aligned).
   std::vector<std::pair<EntityId, EntityId>> chords;
@@ -575,10 +590,12 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
                     std::vector<std::pair<EntityId, EntityId>>* out) {
     int name = next_name++;
     auto a = indexed.CreateEntity(type);
-    auto b = plain.CreateEntity(type);
+    auto b = on_plain([&] { return plain.CreateEntity(type); });
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_TRUE(indexed.SetAttribute(*a, "name", Value::Int(name)).ok());
-    ASSERT_TRUE(plain.SetAttribute(*b, "name", Value::Int(name)).ok());
+    ASSERT_TRUE(on_plain([&] {
+                  return plain.SetAttribute(*b, "name", Value::Int(name));
+                }).ok());
     out->emplace_back(*a, *b);
   };
   for (int i = 0; i < 3; ++i) create("CHORD", &chords);
@@ -599,7 +616,7 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       auto [na, nb] = notes[rng.Uniform(notes.size())];
       auto [ca, cb] = chords[rng.Uniform(chords.size())];
       Status a = indexed.AppendChild(h_indexed, ca, na);
-      Status b = plain.AppendChild(h_plain, cb, nb);
+      Status b = on_plain([&] { return plain.AppendChild(h_plain, cb, nb); });
       ASSERT_EQ(a.code(), b.code()) << a.ToString() << " vs " << b.ToString();
     } else if (dice < 0.22 && !notes.empty()) {
       // Insert at a random position.
@@ -607,12 +624,13 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       auto [ca, cb] = chords[rng.Uniform(chords.size())];
       size_t at = rng.Uniform(4);
       Status a = indexed.InsertChildAt(h_indexed, ca, na, at);
-      Status b = plain.InsertChildAt(h_plain, cb, nb, at);
+      Status b =
+          on_plain([&] { return plain.InsertChildAt(h_plain, cb, nb, at); });
       ASSERT_EQ(a.code(), b.code());
     } else if (dice < 0.30 && !notes.empty()) {
       auto [na, nb] = notes[rng.Uniform(notes.size())];
       Status a = indexed.RemoveChild(h_indexed, na);
-      Status b = plain.RemoveChild(h_plain, nb);
+      Status b = on_plain([&] { return plain.RemoveChild(h_plain, nb); });
       ASSERT_EQ(a.code(), b.code());
     } else if (dice < 0.36) {
       if (rng.Bernoulli(0.7) || notes.size() < 4) {
@@ -621,7 +639,8 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
         // Delete an entity outright (detaches it from the ordering).
         size_t slot = rng.Uniform(notes.size());
         Status a = indexed.DeleteEntity(notes[slot].first);
-        Status b = plain.DeleteEntity(notes[slot].second);
+        Status b =
+            on_plain([&] { return plain.DeleteEntity(notes[slot].second); });
         ASSERT_EQ(a.code(), b.code());
         notes.erase(notes.begin() + slot);
       }
@@ -630,13 +649,13 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       auto [xa, xb] = notes[rng.Uniform(notes.size())];
       auto [ya, yb] = notes[rng.Uniform(notes.size())];
       auto before_a = indexed.Before(h_indexed, xa, ya);
-      auto before_b = plain.Before(h_plain, xb, yb);
+      auto before_b = on_plain([&] { return plain.Before(h_plain, xb, yb); });
       ASSERT_EQ(before_a.ok(), before_b.ok());
       if (before_a.ok()) {
         ASSERT_EQ(*before_a, *before_b);
       }
       auto after_a = indexed.After(h_indexed, xa, ya);
-      auto after_b = plain.After(h_plain, xb, yb);
+      auto after_b = on_plain([&] { return plain.After(h_plain, xb, yb); });
       ASSERT_EQ(after_a.ok(), after_b.ok());
       if (after_a.ok()) {
         ASSERT_EQ(*after_a, *after_b);
@@ -645,13 +664,13 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       auto [na, nb] = notes[rng.Uniform(notes.size())];
       auto [ca, cb] = chords[rng.Uniform(chords.size())];
       auto under_a = indexed.Under(h_indexed, na, ca);
-      auto under_b = plain.Under(h_plain, nb, cb);
+      auto under_b = on_plain([&] { return plain.Under(h_plain, nb, cb); });
       ASSERT_EQ(under_a.ok(), under_b.ok());
       if (under_a.ok()) {
         ASSERT_EQ(*under_a, *under_b);
       }
       auto pos_a = indexed.PositionOf(h_indexed, na);
-      auto pos_b = plain.PositionOf(h_plain, nb);
+      auto pos_b = on_plain([&] { return plain.PositionOf(h_plain, nb); });
       ASSERT_EQ(pos_a.ok(), pos_b.ok());
       if (pos_a.ok()) {
         ASSERT_EQ(*pos_a, *pos_b);
@@ -660,7 +679,7 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       // Child lists must agree element-by-element (mapped via slots).
       auto [ca, cb] = chords[rng.Uniform(chords.size())];
       auto kids_a = indexed.Children(h_indexed, ca);
-      auto kids_b = plain.Children(h_plain, cb);
+      auto kids_b = on_plain([&] { return plain.Children(h_plain, cb); });
       ASSERT_EQ(kids_a.ok(), kids_b.ok());
       if (!kids_a.ok()) continue;
       ASSERT_EQ(kids_a->size(), kids_b->size());
@@ -680,7 +699,7 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
           " n2 in note_in_chord and n2.name = " +
           std::to_string(rng.Uniform(static_cast<uint64_t>(next_name)));
       auto rs_a = c_indexed.Execute(query);
-      auto rs_b = c_plain.Execute(query);
+      auto rs_b = on_plain([&] { return c_plain.Execute(query); });
       ASSERT_EQ(rs_a.ok(), rs_b.ok());
       if (rs_a.ok()) {
         std::vector<int64_t> va, vb;
@@ -694,10 +713,16 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
   }
   // The ablated database must never have built an index; the indexed
   // one must have actually used its.
-  er::OrderingIndexStats ablated = plain.ordering_index_stats();
-  EXPECT_EQ(ablated.rank_rebuilds + ablated.interval_rebuilds, 0u);
-  er::OrderingIndexStats used = indexed.ordering_index_stats();
-  EXPECT_GT(used.rank_hits + used.interval_hits, 0u);
+  EXPECT_EQ(ablated["mdm_er_rank_rebuilds_total"] +
+                ablated["mdm_er_interval_rebuilds_total"],
+            0u);
+  EXPECT_GT(ablated["mdm_er_linear_scans_total"], 0u);
+  auto indexed_delta = [&](const std::string& name) {
+    return CounterDelta(start, name) - ablated[name];
+  };
+  EXPECT_GT(indexed_delta("mdm_er_rank_hits_total") +
+                indexed_delta("mdm_er_interval_hits_total"),
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexAblationFuzz,
